@@ -23,6 +23,7 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from typing import Optional
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro" / "sim" / "_ccore.c"
@@ -42,8 +43,11 @@ def source_digest() -> str:
     return h.hexdigest()
 
 
-def build(force: bool = False) -> Path:
-    out = so_path()
+def build(force: bool = False, out: Optional[Path] = None) -> Path:
+    """Compile the extension to ``out`` (default: in place, see
+    :func:`so_path`) and return its path.  The test suite passes a
+    private ``out`` to build a standalone copy."""
+    out = out or so_path()
     if not force and out.exists() and out.stat().st_mtime >= SRC.stat().st_mtime:
         print(f"fresh: {out.name}")
         return out

@@ -29,7 +29,7 @@ Each rule encodes one invariant the reproduction's validity rests on
     inside ``__post_init__``/``__setstate__``.
 
 ``engine-chokepoint``
-    ``heapq``/``bisect`` (the calendar queue's building blocks) and the
+    ``heapq``/``bisect`` (priority-queue building blocks) and the
     event-core implementation modules (``repro.sim._engine``,
     ``repro.sim._compiled``, ``repro.sim._ccore``) may only be imported
     inside the engine chokepoint — everything else selects its core
@@ -712,8 +712,8 @@ _ENGINE_CHOKEPOINTS = frozenset({
     "repro.sim._compiled",
 })
 
-#: stdlib priority-queue machinery — the calendar queue's building
-#: blocks.  Any use outside the engine is a second scheduler.
+#: stdlib priority-queue machinery — the pure engine's heap is built
+#: from it.  Any use outside the engine is a second scheduler.
 _SCHEDULER_IMPORTS = frozenset({"heapq", "bisect"})
 
 #: the core implementation modules; importing one directly pins a core
@@ -731,9 +731,9 @@ class EngineChokepointRule(Rule):
     Two module-local checks inside the sensitive packages:
 
     * ``heapq``/``bisect`` may only be imported by the engine modules —
-      the calendar queue owns event ordering, and a second priority
-      queue over ``(time, seq)`` tuples elsewhere is a fork of the
-      scheduler that equivalence suites cannot see;
+      the event core's scheduler owns event ordering, and a second
+      priority queue over ``(time, seq)`` tuples elsewhere is a fork of
+      the scheduler that equivalence suites cannot see;
     * the core implementation modules (``repro.sim._engine``,
       ``repro.sim._compiled``, ``repro.sim._ccore``) may only be
       imported by each other and the selector ``repro.sim.core`` —
@@ -764,7 +764,7 @@ class EngineChokepointRule(Rule):
                         yield self.finding(
                             sf, node,
                             f"'{alias.name}' import outside the engine "
-                            f"chokepoint; the calendar queue in "
+                            f"chokepoint; the event core in "
                             f"repro.sim owns event ordering — a second "
                             f"priority queue is a scheduler fork the "
                             f"equivalence suites cannot see")
@@ -782,7 +782,7 @@ class EngineChokepointRule(Rule):
                     yield self.finding(
                         sf, node,
                         f"'{mod}' import outside the engine chokepoint; "
-                        f"the calendar queue in repro.sim owns event "
+                        f"the event core in repro.sim owns event "
                         f"ordering — a second priority queue is a "
                         f"scheduler fork the equivalence suites cannot see")
                 elif (mod in _ENGINE_INTERNAL_MODULES

@@ -1,19 +1,22 @@
 """Pieces of the event core shared by every engine implementation.
 
 The simulator ships two interchangeable event cores — the pure-Python
-reference engine (:mod:`repro.sim._engine`) and the optional compiled
-C extension (:mod:`repro.sim._ccore`, wrapped by
-:mod:`repro.sim._compiled`).  Anything whose *object identity* crosses
-the engine boundary must live here, exactly once:
+heapq reference engine (:mod:`repro.sim._engine`) and the optional
+compiled C extension with its calendar-queue scheduler
+(:mod:`repro.sim._ccore`, wrapped by :mod:`repro.sim._compiled`).
+Anything whose *object identity* crosses the engine boundary must live
+here, exactly once:
 
 * :data:`PENDING` — client code tests ``ev._value is PENDING``; both
   engines must hand out the very same sentinel object.
 * :class:`Interrupt` — scenario code catches it; an ``isinstance``
   check must succeed regardless of which engine threw it.
-* :class:`FlightLike` — the structural type of the flight-recorder
-  hook, referenced by both engines' policy steps.
-* :func:`_describe_wait` — the deadlock-diagnostic formatter, a pure
-  function of an event's ``info`` label.
+* :class:`FlightLike` / :class:`SchedulePolicyLike` — the structural
+  types of the flight-recorder and schedule-policy hooks, referenced by
+  both engines' policy steps.
+* :func:`_describe_wait` / :func:`describe_alive` — the deadlock
+  diagnostics, pure functions of process state and event ``info``
+  labels.
 
 This module must stay dependency-free (stdlib + ``repro.common`` only)
 so the C extension can import it during its own module init without
@@ -22,7 +25,7 @@ creating a cycle through :mod:`repro.sim.core`.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol
+from typing import Any, Optional, Protocol, Sequence
 
 
 class FlightLike(Protocol):
@@ -34,6 +37,14 @@ class FlightLike(Protocol):
     """
 
     def note(self, actor: str, kind: str, *detail: object) -> None: ...
+
+
+class SchedulePolicyLike(Protocol):
+    """Structural type of the same-time tie-break hook (see
+    :mod:`repro.schedcheck`): ``ready`` holds the ``(time, seq, event)``
+    entries at the minimum time in ascending ``seq`` order."""
+
+    def choose(self, ready: list[tuple[float, int, Any]]) -> int: ...
 
 
 class _Pending:
@@ -78,4 +89,24 @@ def _describe_wait(event: Optional[_WaitInfoLike]) -> str:
     return type(event).__name__
 
 
-__all__ = ["PENDING", "Interrupt", "FlightLike", "_describe_wait"]
+def describe_alive(alive: Sequence[Any], limit: int = 8) -> str:
+    """One-line diagnostic of still-alive processes — what each is named,
+    when it last ran, and what event it is parked on.  ``alive`` holds
+    either engine's processes; both ``Environment.describe_alive``
+    methods delegate here."""
+    if not alive:
+        return "no processes alive"
+    parts = []
+    for p in alive[:limit]:
+        parts.append(f"{p.name} (pid {p.pid}, last resumed at "
+                     f"{p.last_resumed_at:.1f} ns, waiting on "
+                     f"{_describe_wait(p._waiting_on)})")
+    if len(alive) > limit:
+        parts.append(f"... and {len(alive) - limit} more")
+    return "; ".join(parts)
+
+
+__all__ = [
+    "PENDING", "Interrupt", "FlightLike", "SchedulePolicyLike",
+    "_describe_wait", "describe_alive",
+]

@@ -9,7 +9,8 @@
  * deadlock diagnostics) live in repro.sim._compiled, a thin Python
  * layer subclassing these types.
  *
- * Scheduler structure mirrors the pure engine exactly:
+ * The pure engine is a plain heapq of (time, seq, event); this core
+ * produces the same (time, seq) order from its own scheduler:
  *   - now-queue: PyList of (time, seq, event) tuples for delay-0
  *     schedules (append order == (time, seq) order);
  *   - batch: PyList holding the current same-tick calendar batch
@@ -1599,7 +1600,8 @@ static PyObject *Env_step(CEnv *self, PyObject *noarg) {
     Py_RETURN_NONE;
 }
 
-/* The no-policy dispatch loop, mirroring _engine.Environment._run_drain:
+/* The no-policy dispatch loop (the counterpart of the pure engine's
+ * heap-pop loop, _engine.Environment._run_drain):
  * batch walk -> now-queue walk -> calendar pull, with singleton bucket
  * entries dispatched straight from C entries (no tuple materialized).
  * Heads and calendar counters are persisted on every exit path. */
@@ -1850,9 +1852,8 @@ static PyObject *Env_run(CEnv *self, PyObject *args, PyObject *kwds) {
 }
 
 static PyMemberDef Env_members[] = {
-    /* engine internals, exposed with the pure engine's names so the
-     * Python cold paths (_compiled._step_policy etc.) share one code
-     * shape with _engine */
+    /* engine internals, exposed for the Python cold paths
+     * (_compiled._step_policy etc.) */
     {"_now", T_DOUBLE, offsetof(CEnv, now), 0, NULL},
     {"_seq", T_LONGLONG, offsetof(CEnv, seq), 0, NULL},
     {"_event_count", T_LONGLONG, offsetof(CEnv, event_count), 0, NULL},

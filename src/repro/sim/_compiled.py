@@ -1,35 +1,32 @@
 """Python shell around the compiled event core (:mod:`repro.sim._ccore`).
 
 The C extension implements the hot surface — ``Event``/``Timeout``/
-``Process``/``CalendarQueue``/``Environment`` with the calendar-queue
-drain loop — and this module adds everything that is cold by
-construction and therefore not worth a C transliteration:
+``Process``/``Environment`` with a calendar-queue scheduler and drain
+loop — and this module adds everything that is cold by construction and
+therefore not worth a C transliteration:
 
 * the :class:`AnyOf`/:class:`AllOf` condition combinators,
 * the schedule-policy step (``_step_policy``) used only by schedcheck
   exploration and replay,
-* the deadlock diagnostics (``describe_alive``/``alive_processes``).
+* the deadlock diagnostics (``describe_alive``/``alive_processes``,
+  shared with the pure engine through :mod:`repro.sim._base`).
 
 Importing this module raises :class:`ImportError` when the extension
 has not been built — :mod:`repro.sim.core` catches that and falls back
 to the pure engine (see its module docstring for the selection rules).
 
-Everything observable is identical to :mod:`repro.sim._engine`: event
-order, decision strings, flight notes, reprs, and error messages.  The
-equivalence and byte-identity suites pin that down.
+Everything observable is identical to the heapq reference engine
+(:mod:`repro.sim._engine`): event order, decision strings, flight notes,
+reprs, and error messages.  The equivalence and byte-identity suites pin
+that down.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Protocol
+from typing import Any, Iterable, Optional
 
 from repro.common.errors import SimulationError
-from repro.sim._base import (
-    PENDING,
-    FlightLike,
-    Interrupt,
-    _describe_wait,
-)
+from repro.sim._base import PENDING, Interrupt, SchedulePolicyLike, describe_alive
 from repro.sim import _ccore
 
 CORE_KIND = "compiled"
@@ -37,21 +34,12 @@ CORE_KIND = "compiled"
 Event = _ccore.Event
 Timeout = _ccore.Timeout
 Process = _ccore.Process
-CalendarQueue = _ccore.CalendarQueue
 _Echo = _ccore._Echo
 
 __all__ = [
-    "PENDING", "Interrupt", "FlightLike", "_describe_wait",
-    "Event", "Timeout", "Process", "AnyOf", "AllOf",
-    "Environment", "CalendarQueue", "SchedulePolicyLike", "CORE_KIND",
+    "PENDING", "Interrupt", "Event", "Timeout", "Process", "AnyOf", "AllOf",
+    "Environment", "CORE_KIND",
 ]
-
-
-class SchedulePolicyLike(Protocol):
-    """Structural type of the same-time tie-break hook (see
-    :mod:`repro.schedcheck`)."""
-
-    def choose(self, ready: list[tuple[float, int, Event]]) -> int: ...
 
 
 class _Condition(Event):
@@ -122,19 +110,9 @@ class Environment(_ccore.Environment):
         return [p for p in self._procs if p.is_alive]
 
     def describe_alive(self, limit: int = 8) -> str:
-        """One-line diagnostic of the still-alive processes — what each is
-        named, when it last ran, and what event it is parked on."""
-        alive = self.alive_processes()
-        if not alive:
-            return "no processes alive"
-        parts = []
-        for p in alive[:limit]:
-            parts.append(f"{p.name} (pid {p.pid}, last resumed at "
-                         f"{p.last_resumed_at:.1f} ns, waiting on "
-                         f"{_describe_wait(p._waiting_on)})")
-        if len(alive) > limit:
-            parts.append(f"... and {len(alive) - limit} more")
-        return "; ".join(parts)
+        """One-line diagnostic of the still-alive processes (see
+        :func:`repro.sim._base.describe_alive`)."""
+        return describe_alive(self.alive_processes(), limit)
 
     # -- schedule-exploration hook ------------------------------------
     def set_schedule_policy(self, policy: Optional[SchedulePolicyLike]) -> None:
@@ -148,10 +126,13 @@ class Environment(_ccore.Environment):
     def _step_policy(self) -> None:
         """One step with a schedule policy installed — the exploration
         path, deliberately kept in Python: schedcheck runs trade speed
-        for introspection, and keeping one readable implementation per
-        core pair would be a maintenance trap.  Mirrors
-        :meth:`repro.sim._engine.Environment._step_policy` line for
-        line against the C engine's members."""
+        for introspection.  The ready set is the rest of the current
+        calendar batch followed by the now-queue: batch entries were
+        scheduled before the clock reached this tick, so their seqs
+        predate every now-queue entry, and the list is in ascending
+        ``seq`` order — the same list the heapq reference
+        (:meth:`repro.sim._engine.Environment._step_policy`) collects
+        by popping every entry at the minimum time."""
         policy = self._policy
         assert policy is not None
         batch = self._batch

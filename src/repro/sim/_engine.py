@@ -1,291 +1,40 @@
-"""Pure-Python event core: calendar-queue scheduler, events, processes.
+"""Pure-Python event core: heapq scheduler, events, processes.
 
 Time is a float in **nanoseconds** throughout the library; the RDMA cost
 model (microseconds-scale verbs, ~100 ns local ops) fits naturally and
 the paper's latency plots are in nanoseconds.
 
-This module is the reference implementation of the engine contract.  An
-optional compiled twin (:mod:`repro.sim._ccore`, built from C source)
-implements the same contract; :mod:`repro.sim.core` picks one at import
-time via ``ALOCK_SIM_CORE``.  Behavioural changes MUST land here first —
-the compiled core is checked against this module event-for-event by
+This module is the reference implementation of the engine contract: one
+binary heap of ``(time, seq, event)`` triples, where ``seq`` is a global
+insertion counter, so the pop order is the total order ``(time, seq)``
+and simultaneous events run in the order they were scheduled.  The heap
+stores plain 3-tuples (``seq`` is unique, so comparisons never reach the
+event).
+
+An optional compiled twin (:mod:`repro.sim._ccore`, built from C source,
+with its own calendar-queue scheduler) implements the same contract;
+:mod:`repro.sim.core` picks one at import time via ``ALOCK_SIM_CORE``.
+Behavioural changes MUST land here first — the compiled core is checked
+against this module event-for-event by
 ``tests/sim/test_core_equivalence.py``.
-
-Scheduler design
-----------------
-
-The heapq scheduler of PRs 0–9 paid an O(log n) comparison chain per
-event.  This engine splits the schedule three ways, exploiting how the
-simulator actually produces events:
-
-* ``_nowq`` — a plain append-only list for delay-0 schedules.  Every
-  resource grant, watcher wakeup, process boot/completion/interrupt and
-  echo is scheduled at the *current* time, so the dominant event class
-  needs no priority structure at all: append order **is** ``(time,
-  seq)`` order.
-* ``_batch`` — the events extracted from the calendar at the current
-  minimum time, dispatched FIFO.  Extracting a whole same-tick batch at
-  once (rather than one pop per event) is what lets the schedule-policy
-  hook see the full ready set for free.
-* :class:`CalendarQueue` — strictly-future entries (``delay > 0``,
-  i.e. timeouts).  Brown-style calendar: events hash into fixed-width
-  time buckets (a dict keyed by ``int(t / width)``), a lazy min-heap of
-  occupied bucket indices stands in for the ladder — far-future
-  timeouts just sit in high-index buckets and cost nothing until the
-  clock approaches them.  Bucket width auto-tunes from observed
-  inter-batch deltas and from bucket-overflow spills.
-
-Ordering invariants (why this reproduces heapq order exactly):
-
-1. Every entry keeps its ``(time, seq, event)`` triple; ``seq`` is the
-   same global insertion counter as before.
-2. An entry can only land in the calendar with ``time > now``; by the
-   time the clock reaches ``time`` it is extracted into ``_batch``.
-   Hence every calendar-born entry at time *t* has a smaller ``seq``
-   than every ``_nowq`` entry appended while ``now == t`` — so
-   *batch-then-nowq* is ascending ``seq``, which is exactly the heap's
-   pop order for equal times.
-3. The clock only advances when both ``_batch`` and ``_nowq`` are
-   drained, so ``_nowq`` never holds entries from a stale time.
-
-Negative delays would violate invariant 2 (a past bucket can no longer
-be reached), so :meth:`Environment.schedule` rejects them with
-:class:`~repro.common.errors.ConfigError` — the heap merely masked
-them by re-sorting.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional, Protocol
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.common.errors import ConfigError, SimulationError
-from repro.sim._base import PENDING, FlightLike, Interrupt, _describe_wait
+from repro.sim._base import PENDING, FlightLike, Interrupt, SchedulePolicyLike, describe_alive
 
 __all__ = [
-    "PENDING", "Interrupt", "FlightLike", "_describe_wait",
-    "Event", "Timeout", "Process", "AnyOf", "AllOf",
-    "Environment", "CalendarQueue",
+    "PENDING", "Interrupt", "Event", "Timeout", "Process", "AnyOf", "AllOf",
+    "Environment", "CORE_KIND",
 ]
 
+CORE_KIND = "pure"
+
 _INF = float("inf")
-
-#: Entries at or past this time (2**1023 ns — effectively "never") skip
-#: the bucket math entirely: ``int(t / width)`` on near-inf floats makes
-#: absurd indices, and ``inf`` has none.  They live on the ladder's top
-#: rung (``_far``) and are only scanned when every bucket has drained.
-_FAR_TIME = 8.98846567431158e307
-
-
-class CalendarQueue:
-    """Calendar queue over ``(time, seq, event)`` triples.
-
-    Classic Brown-style shape: entries hash into fixed-width time
-    buckets, and each bucket is kept **sorted** by ``(time, seq)`` via
-    :func:`bisect.insort` (``seq`` is globally unique, so comparisons
-    never reach the event).  That makes the bucket head the bucket
-    minimum, batch extraction a prefix slice, and :meth:`min_time` O(1).
-    A lazy min-heap of occupied bucket indices stands in for the ladder:
-    far-future timeouts sit in high-index buckets and cost nothing until
-    the clock approaches them.
-
-    Not a general priority queue: it exploits that the engine (a) always
-    extracts *all* entries at the minimum time at once and (b) never
-    inserts at or before the last extracted time (the engine routes
-    delay-0 work around the calendar).
-    """
-
-    __slots__ = (
-        "_buckets", "_order", "_width", "_inv_width", "_len", "_far",
-        "_pop_count", "_window_t",
-    )
-
-    #: pops between width re-evaluations (windowed inter-batch gap)
-    GAP_WINDOW = 256
-    #: a bucket growing past this many entries triggers an immediate
-    #: width shrink — insort's memmove and the prefix scans degrade
-    #: toward O(bucket) once a single bucket swallows the schedule
-    SPILL_LIMIT = 512
-    MIN_WIDTH = 1e-3
-    MAX_WIDTH = 65536.0
-
-    def __init__(self, width: float = 128.0):
-        if not width > 0.0:
-            raise ConfigError(f"calendar bucket width must be positive, got {width!r}")
-        # keys are floor(t / width); ints and whole floats mix freely
-        # (1 == 1.0 as dict keys and in heap order) — the hot push path
-        # produces floats via floor-division, cold paths produce ints
-        self._buckets: dict[float, list[tuple[float, int, Event]]] = {}
-        # lazy min-heap of occupied bucket indices; for t >= 0, bucket
-        # index is monotone in t, so the min index holds the min time
-        self._order: list[float] = []
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._len = 0
-        self._far: list[tuple[float, int, Event]] = []
-        # auto-tuning state: batch-pop counter + the batch time at the
-        # last window boundary (gap averaging without per-pop arithmetic)
-        self._pop_count = 0
-        self._window_t: Optional[float] = None
-
-    def __len__(self) -> int:
-        return self._len
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in nanoseconds (auto-tuned)."""
-        return self._width
-
-    def push(self, time: float, seq: int, event: Event) -> None:
-        if time >= _FAR_TIME:
-            self._far.append((time, seq, event))
-            self._len += 1
-            return
-        idx = int(time * self._inv_width)
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [(time, seq, event)]
-            heappush(self._order, idx)
-        elif not bucket:
-            # drained bucket left in place (see pop_batch): its index is
-            # still on the order heap, so this re-arm costs one append
-            bucket.append((time, seq, event))
-        else:
-            insort(bucket, (time, seq, event))
-            if len(bucket) > self.SPILL_LIMIT:
-                self._shrink_for(bucket)
-        self._len += 1
-
-    def min_time(self) -> float:
-        """Earliest entry time, or +inf when empty.  O(1) amortized: the
-        min bucket is sorted, so its head is the global minimum."""
-        order = self._order
-        buckets = self._buckets
-        while order:
-            bucket = buckets.get(order[0])
-            if bucket:
-                return bucket[0][0]
-            del buckets[order[0]]
-            heappop(order)
-        far = self._far
-        if far:
-            t = far[0][0]
-            for entry in far:
-                if entry[0] < t:
-                    t = entry[0]
-            return t
-        return _INF
-
-    def pop_batch(self) -> tuple[float, list[tuple[float, int, Event]]]:
-        """Remove and return ``(t, entries)`` — every entry at the
-        minimum time *t*, in ascending ``seq`` order (the sorted
-        bucket's equal-time prefix).
-
-        A bucket drained by a pop is deliberately left behind (empty)
-        in both the dict and the order heap: the next push into the
-        same time range re-arms it with a plain append, and the stale
-        shell is discarded only when it resurfaces at the heap top.
-        That removes the create/delete churn of workloads with one
-        outstanding timeout per process — the dominant sim shape.
-        """
-        order = self._order
-        buckets = self._buckets
-        while order:
-            idx = order[0]
-            bucket = buckets[idx]
-            if not bucket:
-                del buckets[idx]
-                heappop(order)
-                continue
-            t = bucket[0][0]
-            n = len(bucket)
-            m = 1
-            while m < n and bucket[m][0] == t:
-                m += 1
-            batch = bucket[:m]
-            del bucket[:m]
-            self._len -= m
-            self._pop_count += 1
-            if self._pop_count >= self.GAP_WINDOW:
-                self._window_retune(t)
-            return (t, batch)
-        far = self._far
-        if far:
-            t = far[0][0]
-            for entry in far:
-                if entry[0] < t:
-                    t = entry[0]
-            batch = sorted(
-                (entry for entry in far if entry[0] == t), key=_entry_key)
-            if len(batch) == len(far):
-                self._far = []
-            else:
-                self._far = [entry for entry in far if entry[0] != t]
-            self._len -= len(batch)
-            return (t, batch)
-        raise SimulationError("pop_batch() on an empty calendar")
-
-    # -- width auto-tuning --------------------------------------------
-    def _window_retune(self, t: float) -> None:
-        """Every GAP_WINDOW batch pops, derive the average inter-batch
-        gap from the window's start/end times (no per-pop arithmetic)
-        and re-bucket when the width has drifted 2x from its target."""
-        last = self._window_t
-        self._window_t = t
-        self._pop_count = 0
-        if last is None or not t > last:
-            return
-        avg_gap = (t - last) / self.GAP_WINDOW
-        # target ~8 batch times per bucket: sorted buckets keep both
-        # insert (binary search + memmove) and extract (prefix slice)
-        # cheap at that size, and the order-heap traffic drops 8x
-        target = min(max(avg_gap * 8.0, self.MIN_WIDTH), self.MAX_WIDTH)
-        if target < self._width * 0.5 or target > self._width * 2.0:
-            self._rebuild(target)
-
-    def _shrink_for(self, crowded: list[tuple[float, int, Event]]) -> None:
-        """Emergency shrink: one (sorted) bucket grew past SPILL_LIMIT,
-        so the width is too coarse for the cluster it covers."""
-        span = crowded[-1][0] - crowded[0][0]
-        if span <= 0.0:
-            return  # one giant same-tick burst; width is not the issue
-        target = max(span / 8.0, self.MIN_WIDTH)
-        if target < self._width * 0.5:
-            self._rebuild(target)
-
-    def _rebuild(self, width: float) -> None:
-        """Re-bucket everything at the new width, **in place**: the hot
-        loops hold local aliases of ``_buckets``/``_order``, so both
-        containers must keep their identity across a rebuild."""
-        buckets = self._buckets
-        order = self._order
-        entries = [entry for bucket in buckets.values() for entry in bucket]
-        # empty every old bucket list before dropping it: the drain loop
-        # may hold an alias of the current minimum bucket across a
-        # dispatch, and a stale non-empty alias would resurrect entries
-        # that were just re-bucketed
-        for bucket in buckets.values():
-            del bucket[:]
-        # re-bucket in (time, seq) order so each new bucket's insertion
-        # order is again ascending seq within equal times
-        entries.sort(key=_entry_key)
-        self._width = width
-        inv = self._inv_width = 1.0 / width
-        buckets.clear()
-        del order[:]
-        for entry in entries:
-            idx = int(entry[0] * inv)
-            bucket = buckets.get(idx)
-            if bucket is None:
-                buckets[idx] = [entry]
-                heappush(order, idx)
-            else:
-                bucket.append(entry)
-
-
-def _entry_key(entry: tuple[float, int, "Event"]) -> tuple[float, int]:
-    return (entry[0], entry[1])
 
 
 class Event:
@@ -345,11 +94,10 @@ class Event:
         self._ok = True
         # Inlined ``env._schedule(self)`` — succeed() fires once per
         # resource grant / watcher wakeup, squarely on the hot path.
-        # Delay-0 ⇒ the now-queue; append order is (time, seq) order.
         env = self.env
         self._scheduled = True
         env._seq = seq = env._seq + 1
-        env._nowq.append((env._now, seq, self))
+        heappush(env._heap, (env._now, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -418,39 +166,7 @@ class Timeout(Event):
         self.delay = delay
         self._pending_value = value
         env._seq = seq = env._seq + 1
-        # Route on the *computed* time, not the delay: a positive delay
-        # small enough to underflow (now + delay == now) must join the
-        # now-queue, where seq order — the heap's tie-break for equal
-        # times — is the append order.  The calendar push is inlined
-        # (cf. the flattened init above): timeouts are the only event
-        # class that ever touches the calendar, and by an order of
-        # magnitude the most frequently created.
-        now = env._now
-        t = now + delay
-        if t > now:
-            cal = env._cal
-            if t < _FAR_TIME:
-                # float floor-div is ~20ns cheaper than int() here, and
-                # 1.0 == 1 hash-compare equal as dict keys, so mixing
-                # float keys (hot path) with int keys (cold paths) is
-                # safe
-                idx = t * cal._inv_width // 1.0
-                bucket = cal._buckets.get(idx)
-                if bucket:
-                    insort(bucket, (t, seq, self))
-                    if len(bucket) > 512:
-                        cal._shrink_for(bucket)
-                elif bucket is None:
-                    cal._buckets[idx] = [(t, seq, self)]
-                    heappush(cal._order, idx)
-                else:
-                    # drained shell still on the order heap: re-arm free
-                    bucket.append((t, seq, self))
-                cal._len += 1
-            else:
-                cal.push(t, seq, self)
-        else:
-            env._nowq.append((now, seq, self))
+        heappush(env._heap, (env._now + delay, seq, self))
 
 
 class Process(Event):
@@ -614,13 +330,6 @@ class AllOf(_Condition):
             self.succeed(self._collect())
 
 
-class SchedulePolicyLike(Protocol):
-    """Structural type of the same-time tie-break hook (see
-    :mod:`repro.schedcheck`)."""
-
-    def choose(self, ready: list[tuple[float, int, Event]]) -> int: ...
-
-
 class Environment:
     """The event loop and virtual clock.
 
@@ -637,13 +346,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        # three-way schedule: see the module docstring.  _batch/_nowq
-        # consume via a head index (amortized O(1), no list.pop(0)).
-        self._cal = CalendarQueue()
-        self._nowq: list[tuple[float, int, Event]] = []
-        self._now_head = 0
-        self._batch: list[tuple[float, int, Event]] = []
-        self._batch_head = 0
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._event_count = 0
@@ -707,19 +410,9 @@ class Environment:
         return [p for p in self._procs if p.is_alive]
 
     def describe_alive(self, limit: int = 8) -> str:
-        """One-line diagnostic of the still-alive processes — what each is
-        named, when it last ran, and what event it is parked on."""
-        alive = self.alive_processes()
-        if not alive:
-            return "no processes alive"
-        parts = []
-        for p in alive[:limit]:
-            parts.append(f"{p.name} (pid {p.pid}, last resumed at "
-                         f"{p.last_resumed_at:.1f} ns, waiting on "
-                         f"{_describe_wait(p._waiting_on)})")
-        if len(alive) > limit:
-            parts.append(f"... and {len(alive) - limit} more")
-        return "; ".join(parts)
+        """One-line diagnostic of the still-alive processes (see
+        :func:`repro.sim._base.describe_alive`)."""
+        return describe_alive(self.alive_processes(), limit)
 
     # -- schedule-exploration hook -------------------------------------
     def set_schedule_policy(self, policy: Optional[SchedulePolicyLike]) -> None:
@@ -750,8 +443,7 @@ class Environment:
         """Schedule ``event`` to be processed ``delay`` ns from now.
 
         Negative delays are a :class:`ConfigError`: the clock never runs
-        backwards, and the calendar queue (unlike the old heap, which
-        silently re-sorted) cannot reach a bucket the clock has passed.
+        backwards, so an event cannot be scheduled in the past.
         """
         self._schedule(event, delay)
 
@@ -764,99 +456,36 @@ class Environment:
                 f"be scheduled in the past (now={self._now})")
         event._scheduled = True
         self._seq = seq = self._seq + 1
-        now = self._now
-        t = now + delay
-        if t > now:
-            self._cal.push(t, seq, event)
-        else:
-            self._nowq.append((now, seq, event))
-
-    def _has_work(self) -> bool:
-        return (self._batch_head < len(self._batch)
-                or self._now_head < len(self._nowq)
-                or len(self._cal) > 0)
-
-    def _pull_batch(self) -> None:
-        """Advance the clock to the calendar's minimum time and extract
-        the whole same-tick batch.  Caller guarantees batch and nowq are
-        consumed and the calendar is non-empty."""
-        if self._batch_head:
-            del self._batch[:]
-            self._batch_head = 0
-        if self._now_head:
-            del self._nowq[:]
-            self._now_head = 0
-        t, entries = self._cal.pop_batch()
-        self._now = t
-        self._batch = entries
+        heappush(self._heap, (self._now + delay, seq, event))
 
     # -- execution ----------------------------------------------------
     def step(self) -> None:
         """Process exactly one event."""
         if self._policy is not None:
             return self._step_policy()
-        batch = self._batch
-        bh = self._batch_head
-        if bh < len(batch):
-            self._batch_head = bh + 1
-            event = batch[bh][2]
-        else:
-            nowq = self._nowq
-            nh = self._now_head
-            if nh < len(nowq):
-                self._now_head = nh + 1
-                event = nowq[nh][2]
-            else:
-                if len(self._cal) == 0:
-                    raise SimulationError("step() on an empty schedule")
-                self._pull_batch()
-                self._batch_head = 1
-                event = self._batch[0][2]
-        self._event_count += 1
-        if isinstance(event, _Echo):
-            event._process()
-            return
-        if isinstance(event, Timeout):
-            event._value = event._pending_value
-            event._ok = True
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            for fn in callbacks:
-                fn(event)
+        if not self._heap:
+            raise SimulationError("step() on an empty schedule")
+        time, _seq, event = heappop(self._heap)
+        self._now = time
+        self._dispatch(event)
 
     def _step_policy(self) -> None:
-        """One step with a schedule policy: the ready set is the events
-        still pending at the current time — the rest of the calendar
-        batch plus everything appended to the now-queue — in ascending
-        ``seq`` order (batch seqs predate nowq seqs by invariant 2).
-        The policy picks one; the others stay in place, so re-assembly
-        next step is stable, exactly like re-pushing heap entries was.
-        """
+        """One step with a schedule policy: collect every event ready at
+        the minimum time (ascending ``seq``), let the policy pick, and
+        push the rest back — their original ``(time, seq)`` keys keep
+        re-extraction stable."""
         policy = self._policy
         assert policy is not None
-        batch = self._batch
-        bh = self._batch_head
-        nowq = self._nowq
-        nh = self._now_head
-        if bh >= len(batch) and nh >= len(nowq):
-            if len(self._cal) == 0:
-                raise SimulationError("step() on an empty schedule")
-            self._pull_batch()
-            batch = self._batch
-            bh = 0
-            nowq = self._nowq
-            nh = 0
-        ready = batch[bh:]
-        if nh < len(nowq):
-            ready += nowq[nh:]
-        n_batch = len(batch) - bh  # ready[:n_batch] came from the batch
+        heap = self._heap
+        if not heap:
+            raise SimulationError("step() on an empty schedule")
+        first = heappop(heap)
+        time = first[0]
+        ready = [first]
+        while heap and heap[0][0] == time:
+            ready.append(heappop(heap))
         if len(ready) == 1:
-            chosen = ready[0]
-            if n_batch:
-                self._batch_head = bh + 1
-            else:
-                self._now_head = nh + 1
+            chosen = first
         else:
             idx = policy.choose(ready)
             if not 0 <= idx < len(ready):
@@ -865,15 +494,18 @@ class Environment:
                     f"{len(ready)} ready events")
             self._sched_log.append(idx)
             self._sched_fanout.append(len(ready))
-            chosen = ready[idx]
             fl = self.flight
             if fl is not None:
                 fl.note("sched", "sched.tiebreak", idx, len(ready))
-            if idx < n_batch:
-                del batch[bh + idx]
-            else:
-                del nowq[nh + idx - n_batch]
-        event = chosen[2]
+            chosen = ready.pop(idx)
+            for entry in ready:
+                heappush(heap, entry)
+        self._now = time
+        self._dispatch(chosen[2])
+
+    def _dispatch(self, event: Event) -> None:
+        """Process one popped event: run its callbacks (or re-deliver an
+        :class:`_Echo`), releasing a :class:`Timeout`'s held value first."""
         self._event_count += 1
         if isinstance(event, _Echo):
             event._process()
@@ -889,10 +521,7 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next event, or +inf if none is scheduled."""
-        if (self._batch_head < len(self._batch)
-                or self._now_head < len(self._nowq)):
-            return self._now
-        return self._cal.min_time()
+        return self._heap[0][0] if self._heap else _INF
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run until the schedule drains, a deadline passes, or an event fires.
@@ -905,7 +534,7 @@ class Environment:
         """
         if until is None:
             if self._policy is not None:
-                while self._has_work():
+                while self._heap:
                     self._step_policy()
             else:
                 self._run_drain(_INF)
@@ -913,7 +542,7 @@ class Environment:
         if isinstance(until, Event):
             stop = until
             while not stop.processed:
-                if not self._has_work():
+                if not self._heap:
                     raise SimulationError(
                         "schedule drained before the awaited event "
                         "triggered (deadlock?); " + self.describe_alive())
@@ -925,7 +554,7 @@ class Environment:
         if deadline < self._now:
             raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
         if self._policy is not None:
-            while self.peek() <= deadline:
+            while self._heap and self._heap[0][0] <= deadline:
                 self._step_policy()
         else:
             self._run_drain(deadline)
@@ -933,182 +562,35 @@ class Environment:
         return None
 
     def _run_drain(self, deadline: float) -> None:
-        """The no-policy dispatch loop, inlined from :meth:`step`.
+        """The no-policy dispatch loop, :meth:`step` and :meth:`_dispatch`
+        inlined.
 
         This is the innermost loop of every benchmark and experiment:
         dispatching through here instead of per-event ``step()`` calls
-        removes a Python frame plus several attribute loads per event.
-        Semantically identical to ``while has_work: step()`` — same
+        removes two Python frames plus several attribute loads per event.
+        Semantically identical to ``while heap: step()`` — same pop
         order, same Timeout/_Echo handling, same callback sequence.
-
-        Dispatching a batch entry cannot grow the batch (new events go
-        to the calendar or the now-queue), and the now-queue only grows
-        at its tail, so plain index walks over both are exact.
-
-        The calendar pull is inlined too (locals aliasing the bucket
-        dict and index heap; :meth:`CalendarQueue._rebuild` mutates both
-        in place precisely so these aliases survive a width retune), and
-        singleton buckets — the common shape once the width is tuned —
-        dispatch without ever materializing a batch list.
         """
-        batch = self._batch
-        bh = self._batch_head
-        nowq = self._nowq
-        nh = self._now_head
-        cal = self._cal
-        buckets = cal._buckets
-        order = cal._order
+        heap = self._heap
         count = self._event_count
-        # calendar counters live in locals for the duration of the drain
-        # and are written back in the finally block: pushes from inside
-        # dispatched callbacks only ever *increment* cal._len, so the
-        # deferred decrement commutes with them
-        popped = 0
-        pops = cal._pop_count
         try:
-            # normalize consumed prefixes once so the hot checks below
-            # are plain truth tests instead of head-vs-len compares
-            if bh:
-                del batch[:bh]
-                bh = 0
-            if nh:
-                del nowq[:nh]
-                nh = 0
-            while True:
-                if batch:
-                    # dispatch cannot grow the batch (new events go to
-                    # the calendar or the now-queue), so a snapshot-free
-                    # for-walk is exact; bh tracks consumption for the
-                    # finally block in case a callback raises
-                    for entry in batch:
-                        bh += 1
-                        event = entry[2]
-                        count += 1
-                        cls = event.__class__
-                        if cls is Timeout:
-                            event._value = event._pending_value
-                        elif cls is not Event:
-                            if isinstance(event, _Echo):
-                                event._process()
-                                continue
-                            if isinstance(event, Timeout):
-                                event._value = event._pending_value
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                    del batch[:]
-                    bh = 0
-                if nowq:
-                    # the now-queue grows at its tail while we walk it,
-                    # so the length must be re-read every iteration
-                    while nh < len(nowq):
-                        event = nowq[nh][2]
-                        nh += 1
-                        count += 1
-                        cls = event.__class__
-                        if cls is Timeout:
-                            event._value = event._pending_value
-                        elif cls is not Event:
-                            if isinstance(event, _Echo):
-                                event._process()
-                                continue
-                            if isinstance(event, Timeout):
-                                event._value = event._pending_value
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                    del nowq[:]
-                    nh = 0
-                    continue
-                # -- pull the next same-tick batch from the calendar --
-                if not order:
-                    if not cal._far:
-                        break
-                    t = cal.min_time()  # rare: only far-future timeouts left
-                    if t > deadline:
-                        break
-                    cal._pop_count = pops
-                    t, entries = cal.pop_batch()
-                    pops = cal._pop_count
-                    self._now = t
-                    self._batch = batch = entries
-                    bh = 0
-                    continue
-                idx = order[0]
-                bucket = buckets[idx]
-                if not bucket:
-                    # drained shell that was never re-armed: discard
-                    del buckets[idx]
-                    heappop(order)
-                    continue
-                if pops >= 256:
-                    # width retune happens here, between bucket runs, so
-                    # the run loop below never holds an alias across a
-                    # rebuild; retune timing does not affect pop order
-                    cal._window_retune(bucket[0][0])
-                    pops = 0
-                    continue
-                # -- bucket run: keep dispatching from this bucket while
-                #    each head entry is alone at its timestamp.  Time is
-                #    monotone, so a bucket re-armed by a dispatched
-                #    callback is still the global minimum — no heap peek
-                #    or dict lookup between events.
-                while True:
-                    entry = bucket[0]
-                    t = entry[0]
-                    if t > deadline:
-                        return
-                    n = len(bucket)
-                    if n > 1 and bucket[1][0] == t:
-                        # same-tick cluster: extract the equal-time
-                        # prefix as the next batch
-                        m = 2
-                        while m < n and bucket[m][0] == t:
-                            m += 1
-                        if m == n:
-                            del buckets[idx]
-                            heappop(order)
-                            entries = bucket
-                        else:
-                            entries = bucket[:m]
-                            del bucket[:m]
-                        popped += m
-                        pops += 1
-                        self._now = t
-                        self._batch = batch = entries
-                        bh = 0
-                        break
-                    del bucket[0]
-                    popped += 1
-                    pops += 1
-                    self._now = t
-                    event = entry[2]
-                    count += 1
-                    cls = event.__class__
-                    if cls is Timeout:
+            while heap and heap[0][0] <= deadline:
+                time, _seq, event = heappop(heap)
+                self._now = time
+                count += 1
+                cls = event.__class__
+                if cls is Timeout:
+                    event._value = event._pending_value
+                elif cls is not Event:
+                    if isinstance(event, _Echo):
+                        event._process()
+                        continue
+                    if isinstance(event, Timeout):
                         event._value = event._pending_value
-                    elif cls is not Event:
-                        if isinstance(event, _Echo):
-                            event._process()
-                            if nowq or not bucket:
-                                break
-                            continue
-                        if isinstance(event, Timeout):
-                            event._value = event._pending_value
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(event)
-                    if nowq or not bucket:
-                        break
+                callbacks = event.callbacks
+                event.callbacks = None
+                if callbacks:
+                    for fn in callbacks:
+                        fn(event)
         finally:
             self._event_count = count
-            self._batch_head = bh
-            self._now_head = nh
-            cal._len -= popped
-            cal._pop_count = pops

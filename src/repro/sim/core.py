@@ -2,11 +2,12 @@
 
 Two interchangeable event cores implement the engine contract:
 
-* :mod:`repro.sim._engine` — the pure-Python reference (calendar-queue
-  scheduler; see its module docstring for the design).
-* :mod:`repro.sim._ccore` — an optional compiled C twin (built by
-  ``scripts/build_compiled_core.py`` / ``pip install -e .``), wrapped
-  by :mod:`repro.sim._compiled`.
+* :mod:`repro.sim._engine` — the pure-Python reference: one ``heapq``
+  of ``(time, seq, event)``, kept obviously correct because it is the
+  oracle the compiled core is checked against.
+* :mod:`repro.sim._ccore` — an optional compiled C twin with a
+  calendar-queue scheduler (built by ``scripts/build_compiled_core.py``
+  / ``pip install -e .``), wrapped by :mod:`repro.sim._compiled`.
 
 Selection happens once, at first import, via ``ALOCK_SIM_CORE``:
 
@@ -38,12 +39,11 @@ import warnings
 from typing import Optional, TYPE_CHECKING
 
 from repro.common.errors import ConfigError
-from repro.sim._base import PENDING, FlightLike, Interrupt, _describe_wait
+from repro.sim._base import PENDING, FlightLike, Interrupt, SchedulePolicyLike, _describe_wait
 
 __all__ = [
-    "PENDING", "Interrupt", "FlightLike", "_describe_wait",
-    "Event", "Timeout", "Process", "AnyOf", "AllOf",
-    "Environment", "CalendarQueue",
+    "PENDING", "Interrupt", "FlightLike", "SchedulePolicyLike", "_describe_wait",
+    "Event", "Timeout", "Process", "AnyOf", "AllOf", "Environment",
     "CORE_KIND", "core_info",
 ]
 
@@ -61,11 +61,9 @@ if TYPE_CHECKING:
     from repro.sim._engine import (
         AllOf,
         AnyOf,
-        CalendarQueue,
         Environment,
         Event,
         Process,
-        SchedulePolicyLike,
         Timeout,
         _Condition,
         _Echo,
@@ -90,8 +88,7 @@ else:
     if _impl is None:
         from repro.sim import _engine as _impl
 
-    CORE_KIND = _impl.CORE_KIND if hasattr(_impl, "CORE_KIND") else (
-        "compiled" if _impl.__name__.endswith("_compiled") else "pure")
+    CORE_KIND = _impl.CORE_KIND
     Environment = _impl.Environment
     Event = _impl.Event
     Timeout = _impl.Timeout
@@ -100,8 +97,6 @@ else:
     AllOf = _impl.AllOf
     _Condition = _impl._Condition
     _Echo = _impl._Echo
-    CalendarQueue = _impl.CalendarQueue
-    SchedulePolicyLike = _impl.SchedulePolicyLike
 
 
 def core_info() -> dict[str, Optional[str]]:

@@ -10,7 +10,7 @@ from bisect import insort  # finding: scheduler structure outside the engine
 from repro.sim import _engine  # finding: pins the pure core
 from repro.sim import _compiled  # finding: pins the compiled core
 import repro.sim._ccore  # finding: pins the compiled extension
-from repro.sim._engine import CalendarQueue  # finding: pins the pure core
+from repro.sim._engine import Timeout  # finding: pins the pure core
 
 
 # -- fine -----------------------------------------------------------------
