@@ -399,30 +399,34 @@ static double cal_min_time(Calendar *cal) {
 }
 
 /* pop every far entry at the minimum far time into a fresh list of
- * (t, seq, ev) tuples, ascending seq; transfers refs into the list */
+ * (t, seq, ev) tuples, ascending seq (push order among equal seqs);
+ * transfers refs into the list.  Quadratic in the batch, but the far
+ * list only holds t >= FAR_TIME entries, which simulations never reach */
 static PyObject *cal_pop_far(Calendar *cal, double *t_out) {
     double t = cal->far[0].t;
-    Py_ssize_t i, j;
+    Py_ssize_t i, j, k;
     PyObject *list;
     for (i = 1; i < cal->far_len; i++)
         if (cal->far[i].t < t) t = cal->far[i].t;
     list = PyList_New(0);
     if (!list) return NULL;
-    /* ascending seq == append order among equal times (pushes were in
-     * seq order, and we scan in push order) */
-    for (i = 0; i < cal->far_len; ) {
-        if (cal->far[i].t == t) {
-            PyObject *tup = Py_BuildValue("(dLN)", cal->far[i].t,
-                                          cal->far[i].seq, cal->far[i].ev);
-            if (!tup || PyList_Append(list, tup) < 0) {
-                Py_XDECREF(tup); Py_DECREF(list); return NULL;
-            }
-            Py_DECREF(tup);
-            /* remove, preserving order of the remainder */
-            for (j = i; j < cal->far_len - 1; j++) cal->far[j] = cal->far[j + 1];
-            cal->far_len--;
-            cal->nlen--;
-        } else i++;
+    for (;;) {
+        PyObject *tup;
+        k = -1;
+        for (i = 0; i < cal->far_len; i++)
+            if (cal->far[i].t == t && (k < 0 || cal->far[i].seq < cal->far[k].seq))
+                k = i;
+        if (k < 0) break;
+        tup = Py_BuildValue("(dLN)", cal->far[k].t, cal->far[k].seq,
+                            cal->far[k].ev);
+        if (!tup || PyList_Append(list, tup) < 0) {
+            Py_XDECREF(tup); Py_DECREF(list); return NULL;
+        }
+        Py_DECREF(tup);
+        /* remove, preserving order of the remainder */
+        for (j = k; j < cal->far_len - 1; j++) cal->far[j] = cal->far[j + 1];
+        cal->far_len--;
+        cal->nlen--;
     }
     *t_out = t;
     return list;

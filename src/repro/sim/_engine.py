@@ -487,11 +487,16 @@ class Environment:
         if len(ready) == 1:
             chosen = first
         else:
-            idx = policy.choose(ready)
-            if not 0 <= idx < len(ready):
-                raise SimulationError(
-                    f"schedule policy chose index {idx} out of "
-                    f"{len(ready)} ready events")
+            try:
+                idx = policy.choose(ready)
+                if not 0 <= idx < len(ready):
+                    raise SimulationError(
+                        f"schedule policy chose index {idx} out of "
+                        f"{len(ready)} ready events")
+            except BaseException:
+                for entry in ready:  # a failed step leaves the schedule as it was
+                    heappush(heap, entry)
+                raise
             self._sched_log.append(idx)
             self._sched_fanout.append(len(ready))
             fl = self.flight

@@ -137,11 +137,9 @@ class TestFarLadder:
 
     def test_far_same_time_batch_sorted_by_seq(self):
         cal = CalendarQueue(width=10.0)
-        # the far ladder keeps push order, which is seq order because the
-        # engine's seq counter only grows (unlike buckets, it does not
-        # re-sort out-of-order seqs)
-        for seq, t in ((3, 1e308), (4, float("inf")), (6, 1e308), (9, 1e308)):
-            cal.push(t, seq, _ev())
+        for seq in (9, 3, 6):
+            cal.push(1e308, seq, _ev())
+        cal.push(float("inf"), 1, _ev())
         t, batch = cal.pop_batch()
         assert t == 1e308
         assert [e[1] for e in batch] == [3, 6, 9]

@@ -473,3 +473,29 @@ class TestSchedulePolicyHook:
 
         with pytest.raises(SimulationError):
             self.build(Bad())
+
+    @pytest.mark.parametrize("failure", ["out_of_range", "raises"])
+    def test_failed_choice_leaves_schedule_intact(self, failure):
+        class Bad:
+            def choose(self, ready):
+                if failure == "raises":
+                    raise RuntimeError("policy bug")
+                return -1
+
+        env = Environment()
+        log = []
+
+        def worker(i):
+            yield env.timeout(10)
+            log.append(i)
+
+        for i in range(3):
+            env.process(worker(i))
+        env.run(until=5)                 # processes started, ties at t=10
+        env.set_schedule_policy(Bad())
+        with pytest.raises((SimulationError, RuntimeError)):
+            env.step()
+        assert env.peek() == 10
+        env.set_schedule_policy(None)
+        env.run()
+        assert log == [0, 1, 2]          # every tied event was still there
